@@ -215,7 +215,8 @@ func Wasserstein2(a, b *Histogram) (float64, error) {
 }
 
 // Wasserstein2Sinkhorn returns the entropy-regularised approximation,
-// suitable for large grids.
+// suitable for large grids. It refuses a negative, NaN or infinite mass,
+// naming the cell.
 func Wasserstein2Sinkhorn(a, b *Histogram) (float64, error) {
 	return transport.W2Sinkhorn(a, b, nil)
 }

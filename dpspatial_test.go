@@ -143,6 +143,28 @@ func TestMechanismConstructorsAndMetrics(t *testing.T) {
 	}
 }
 
+func TestWasserstein2SinkhornRefusesInvalidMass(t *testing.T) {
+	dom, err := NewDomain(0, 0, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := HistFromPoints(dom, clusterPoints(500, 5, 5)).Normalize()
+	allNaN := good.Clone()
+	for i := range allNaN.Mass {
+		allNaN.Mass[i] = math.NaN()
+	}
+	if w, err := Wasserstein2Sinkhorn(allNaN, allNaN); err == nil || !strings.Contains(err.Error(), "cell (0,0)") {
+		t.Fatalf("all-NaN histograms: W2 %v, err %v; want a refusal naming cell (0,0)", w, err)
+	}
+	for _, bad := range []float64{-1e-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		h := good.Clone()
+		h.Mass[3*5+4] = bad // cell x=4, y=3
+		if w, err := Wasserstein2Sinkhorn(good, h); err == nil || !strings.Contains(err.Error(), "cell (4,3)") {
+			t.Errorf("mass %v: W2 %v, err %v; want a refusal naming cell (4,3)", bad, w, err)
+		}
+	}
+}
+
 func TestWithRadiusOption(t *testing.T) {
 	dom, err := NewDomain(0, 0, 6, 6)
 	if err != nil {

@@ -583,19 +583,6 @@ func samplersByRows(c LinearChannel) ([]*rng.Alias, error) {
 	return tables, nil
 }
 
-// MaxRatioLinear returns the worst-case likelihood ratio of any linear
-// channel (dense channels use their own storage-sharing fast path).
-func MaxRatioLinear(c LinearChannel) float64 {
-	if d, ok := c.(*Channel); ok {
-		return d.MaxRatio()
-	}
-	type ratioer interface{ MaxRatio() float64 }
-	if r, ok := c.(ratioer); ok {
-		return r.MaxRatio()
-	}
-	return maxRatioByRows(c)
-}
-
 // ValidateLinear checks the row-stochastic invariant of any linear
 // channel via materialised rows.
 func ValidateLinear(c LinearChannel) error {

@@ -51,8 +51,18 @@ func (o *SinkhornOptions) withDefaults() SinkhornOptions {
 // as Reg → 0. With Debias set, the entropic self-transport floor is
 // subtracted first (Sinkhorn divergence), so identical inputs score ≈0
 // at any regularisation.
+//
+// Every mass must be finite and non-negative; the first cell that is not
+// is named in the error. The solve runs on supp(a)×supp(b) only and is
+// bit-identical to the dense solve over all cell pairs.
 func W2Sinkhorn(a, b *grid.Hist2D, opts *SinkhornOptions) (float64, error) {
 	if err := compatible(a, b); err != nil {
+		return 0, err
+	}
+	if err := checkMasses(a, "first"); err != nil {
+		return 0, err
+	}
+	if err := checkMasses(b, "second"); err != nil {
 		return 0, err
 	}
 	o := opts.withDefaults()
@@ -82,8 +92,30 @@ func W2Sinkhorn(a, b *grid.Hist2D, opts *SinkhornOptions) (float64, error) {
 	return math.Sqrt(c), nil
 }
 
+// checkMasses refuses a histogram holding a negative, NaN or infinite
+// mass, naming the first such cell.
+func checkMasses(h *grid.Hist2D, which string) error {
+	for i, m := range h.Mass {
+		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("transport: invalid mass %v at cell (%d,%d) of the %s histogram",
+				m, i%h.Dom.D, i/h.Dom.D, which)
+		}
+	}
+	return nil
+}
+
 // sinkhornCost returns the (squared-distance) transport cost of the
 // regularised plan between two histograms.
+//
+// The log-domain potentials f, g define the plan exp((f_i + g_j − C_ij)/λ).
+// A massless cell's potential is −Inf, so its every kernel term is an
+// exact +0 inside each log-sum-exp; leaving it out, with the surviving
+// terms in their original order, changes no bit. The sweeps therefore
+// run over supp(μ)×supp(ν) with the costs held contiguously for both
+// half-sweeps (cost row-major by supp(μ), costT by supp(ν)). The one
+// exception is the first f-sweep: g starts at 0 on every cell, so it runs
+// over all n columns, and massless columns turn −Inf only at the first
+// g-sweep.
 func sinkhornCost(a, b *grid.Hist2D, o SinkhornOptions) (float64, error) {
 	d := a.Dom.D
 	n := len(a.Mass)
@@ -93,51 +125,59 @@ func sinkhornCost(a, b *grid.Hist2D, o SinkhornOptions) (float64, error) {
 	if mu == nil || nu == nil {
 		return 0, fmt.Errorf("transport: zero-mass histogram")
 	}
+	rows, logMu := supportLogs(mu)
+	cols, logNu := supportLogs(nu)
+	m, k := len(rows), len(cols)
 
-	// Squared-Euclidean cost matrix in cell units.
-	cost := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		xi, yi := i%d, i/d
-		for j := 0; j < n; j++ {
-			xj, yj := j%d, j/d
-			dx, dy := float64(xi-xj), float64(yi-yj)
-			cost[i*n+j] = dx*dx + dy*dy
+	// Squared-Euclidean cell-unit costs on supp(μ)×supp(ν), and transposed.
+	sqDist := func(i, j int) float64 {
+		dx, dy := float64(i%d-j%d), float64(i/d-j/d)
+		return dx*dx + dy*dy
+	}
+	cost := make([]float64, m*k)
+	costT := make([]float64, k*m)
+	for r, i := range rows {
+		for c, j := range cols {
+			cij := sqDist(i, j)
+			cost[r*k+c] = cij
+			costT[c*m+r] = cij
 		}
 	}
 
-	// Log-domain potentials f, g with kernel K = exp((f_i + g_j - C_ij)/λ).
-	f := make([]float64, n)
-	g := make([]float64, n)
-	logMu := logOf(mu)
-	logNu := logOf(nu)
 	lam := o.Reg
+	s := scaler{lam: lam}
+	// x·(1/λ) and x/λ round the same real value, so they agree bit for
+	// bit whenever 1/λ is exact: λ a power of two with a finite inverse.
+	if inv := 1 / lam; !math.IsInf(inv, 0) {
+		if frac, _ := math.Frexp(lam); frac == 0.5 {
+			s.inv, s.mul = inv, true
+		}
+	}
 
+	f := make([]float64, m)
+	g := make([]float64, k)
 	row := make([]float64, n)
+	zeros, full := make([]float64, n), make([]float64, n)
 	for iter := 0; iter < o.MaxIter; iter++ {
 		// f_i = λ·log μ_i − λ·logΣ_j exp((g_j − C_ij)/λ)
-		for i := 0; i < n; i++ {
-			if math.IsInf(logMu[i], -1) {
-				f[i] = math.Inf(-1)
-				continue
+		for r := range f {
+			x, pot, costs := row[:k], g, cost[r*k:(r+1)*k]
+			if iter == 0 {
+				// g is still 0 on all n columns, massless ones included.
+				for j := range full {
+					full[j] = sqDist(rows[r], j)
+				}
+				x, pot, costs = row, zeros, full
 			}
-			for j := 0; j < n; j++ {
-				row[j] = (g[j] - cost[i*n+j]) / lam
-			}
-			f[i] = lam*logMu[i] - lam*logSumExp(row)
+			f[r] = lam*logMu[r] - lam*logSumExpMax(x, s.fill(x, pot, costs))
 		}
 		// g_j update symmetric.
-		for j := 0; j < n; j++ {
-			if math.IsInf(logNu[j], -1) {
-				g[j] = math.Inf(-1)
-				continue
-			}
-			for i := 0; i < n; i++ {
-				row[i] = (f[i] - cost[i*n+j]) / lam
-			}
-			g[j] = lam*logNu[j] - lam*logSumExp(row)
+		for c := range g {
+			x := row[:m]
+			g[c] = lam*logNu[c] - lam*logSumExpMax(x, s.fill(x, f, costT[c*m:(c+1)*m]))
 		}
 		if iter%10 == 9 || iter == o.MaxIter-1 {
-			if marginalError(f, g, cost, mu, lam, n) < o.Tol {
+			if supportMarginalError(f, g, cost, mu, rows, s) < o.Tol {
 				break
 			}
 		}
@@ -145,17 +185,18 @@ func sinkhornCost(a, b *grid.Hist2D, o SinkhornOptions) (float64, error) {
 
 	// Transport cost of the regularised plan.
 	total := 0.0
-	for i := 0; i < n; i++ {
-		if math.IsInf(f[i], -1) {
+	for r, fr := range f {
+		if math.IsInf(fr, -1) {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			if math.IsInf(g[j], -1) {
+		for c, gc := range g {
+			if math.IsInf(gc, -1) {
 				continue
 			}
-			pij := math.Exp((f[i] + g[j] - cost[i*n+j]) / lam)
+			cij := cost[r*k+c]
+			pij := math.Exp(s.apply(fr + gc - cij))
 			if pij > 0 {
-				total += pij * cost[i*n+j]
+				total += pij * cij
 			}
 		}
 	}
@@ -180,51 +221,95 @@ func normalizedCopy(mass []float64) []float64 {
 	return out
 }
 
-func logOf(v []float64) []float64 {
-	out := make([]float64, len(v))
+// supportLogs returns the cells of v holding positive mass, in order, and
+// the log of each one's mass.
+func supportLogs(v []float64) ([]int, []float64) {
+	var idx []int
+	var logs []float64
 	for i, x := range v {
 		if x > 0 {
-			out[i] = math.Log(x)
-		} else {
-			out[i] = math.Inf(-1)
+			idx = append(idx, i)
+			logs = append(logs, math.Log(x))
 		}
 	}
-	return out
+	return idx, logs
 }
 
-func logSumExp(v []float64) float64 {
+// scaler divides by λ, or multiplies by 1/λ where that is exact.
+type scaler struct {
+	lam, inv float64
+	mul      bool
+}
+
+func (s scaler) apply(x float64) float64 {
+	if s.mul {
+		return x * s.inv
+	}
+	return x / s.lam
+}
+
+// fill sets x_t = (pot_t − costs_t)/λ and returns the maximum (−Inf when
+// empty).
+func (s scaler) fill(x, pot, costs []float64) float64 {
 	maxV := math.Inf(-1)
-	for _, x := range v {
-		if x > maxV {
-			maxV = x
+	x, pot = x[:len(costs)], pot[:len(costs)]
+	for t, c := range costs {
+		v := s.apply(pot[t] - c)
+		x[t] = v
+		if v > maxV {
+			maxV = v
 		}
 	}
+	return maxV
+}
+
+// logSumExpMax returns log Σ exp(x_t) given maxV = max_t x_t.
+func logSumExpMax(x []float64, maxV float64) float64 {
 	if math.IsInf(maxV, -1) {
 		return maxV
 	}
-	sum := 0.0
-	for _, x := range v {
-		sum += math.Exp(x - maxV)
+	sum, cut := 0.0, negligibleBelow(0)
+	for _, v := range x {
+		y := v - maxV
+		if y < cut {
+			continue
+		}
+		sum += math.Exp(y)
+		cut = negligibleBelow(sum)
 	}
 	return maxV + math.Log(sum)
 }
 
-// marginalError measures how far the current plan's row marginals are from
-// μ (the column marginals match exactly right after the g update).
-func marginalError(f, g, cost, mu []float64, lam float64, n int) float64 {
+// negligibleBelow returns a cut under which adding math.Exp(y) to s ≥ 0
+// leaves s unchanged, so skipping that addend changes no bit. Below the
+// cut, e^y is under half an ulp of s by a factor e, far more than
+// math.Exp's error, and s plus less than half an ulp rounds back to s.
+// For s = 0 the cut, ≈ −746.1, lies where math.Exp has underflowed to 0.
+func negligibleBelow(s float64) float64 {
+	e := int(math.Float64bits(s)>>52) & 0x7ff // biased exponent
+	return float64(max(e, 1)-1076)*math.Ln2 - 1
+}
+
+// supportMarginalError measures how far the current plan's row marginals
+// are from μ (the column marginals match exactly right after the g
+// update).
+func supportMarginalError(f, g, cost, mu []float64, rows []int, s scaler) float64 {
+	k := len(g)
 	worst := 0.0
-	for i := 0; i < n; i++ {
-		if math.IsInf(f[i], -1) {
+	for r, fr := range f {
+		if math.IsInf(fr, -1) {
 			continue
 		}
-		rowSum := 0.0
-		for j := 0; j < n; j++ {
-			if math.IsInf(g[j], -1) {
+		rowSum, cut := 0.0, negligibleBelow(0)
+		for c, gc := range g {
+			y := s.apply(fr + gc - cost[r*k+c])
+			if math.IsInf(gc, -1) || y < cut {
 				continue
 			}
-			rowSum += math.Exp((f[i] + g[j] - cost[i*n+j]) / lam)
+			rowSum += math.Exp(y)
+			cut = negligibleBelow(rowSum)
 		}
-		if e := math.Abs(rowSum - mu[i]); e > worst {
+		if e := math.Abs(rowSum - mu[rows[r]]); e > worst {
 			worst = e
 		}
 	}

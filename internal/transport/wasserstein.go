@@ -5,7 +5,10 @@
 //   - the closed-form 1-D Wasserstein distance (quantile coupling) used by
 //     the sliced analysis of Section V;
 //   - Sinkhorn's entropy-regularised approximation (Cuturi 2013), which
-//     the paper uses when d is too large for exact LP;
+//     the paper uses when d is too large for exact LP. It iterates over
+//     the supports of the two histograms only and is bit-identical to
+//     the dense solver over all cell pairs, which the tests keep as an
+//     oracle;
 //   - the Radon projection of planar measures and the sliced Wasserstein
 //     distance of Definitions 6–7.
 package transport
