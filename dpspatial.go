@@ -209,7 +209,8 @@ func OptimalRadius(eps, L float64) (float64, error) {
 }
 
 // Wasserstein2 returns the exact 2-Wasserstein distance between two
-// normalised histograms (transportation LP; costs in cell units).
+// normalised histograms (transportation LP; costs in cell units). It
+// refuses a negative, NaN or infinite mass, naming the cell.
 func Wasserstein2(a, b *Histogram) (float64, error) {
 	return transport.W2Exact(a, b)
 }

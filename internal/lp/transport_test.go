@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"dpspatial/internal/rng"
@@ -367,5 +370,236 @@ func TestPlanFlowsSortedDeterministic(t *testing.T) {
 		if k1[i] != k2[i] {
 			t.Fatal("non-deterministic plan contents")
 		}
+	}
+}
+
+// gridCost is the cell-unit cost ‖x−y‖ᵖ between the cells of a d×d grid,
+// evaluated as transport.WpExactPow does.
+func gridCost(d int, p float64) func(i, j int) float64 {
+	return func(i, j int) float64 {
+		dist := math.Hypot(float64(i%d-j%d), float64(i/d-j/d))
+		return math.Pow(dist, p)
+	}
+}
+
+// quarterMasses returns two d×d histograms holding whole quarters, with
+// equal totals and some massless cells, so that the simplex meets ties
+// and degenerate pivots.
+func quarterMasses(r *rng.RNG, d int) (supply, demand []float64) {
+	n := d * d
+	supply = make([]float64, n)
+	for i := range supply {
+		supply[i] = float64(r.Intn(5)) / 4
+	}
+	supply[r.Intn(n)] += 1 // so the total is positive
+	demand = slices.Clone(supply)
+	for moves := 0; moves < 2*n; moves++ {
+		from, to := r.Intn(n), r.Intn(n)
+		if demand[from] >= 0.25 {
+			demand[from] -= 0.25
+			demand[to] += 0.25
+		}
+	}
+	return supply, demand
+}
+
+// holedMasses returns a random normalised d×d histogram with about a
+// third of its cells massless.
+func holedMasses(r *rng.RNG, d int) []float64 {
+	h := make([]float64, d*d)
+	for i := range h {
+		if r.Intn(3) > 0 {
+			h[i] = r.Float64()
+		}
+	}
+	h[r.Intn(len(h))] += 0.5
+	normalize(h)
+	return h
+}
+
+// requireSameAsOracle solves one instance with Solve and with oracleSolve
+// and requires the same error, or the same objective and flows bit for
+// bit.
+func requireSameAsOracle(t *testing.T, name string, supply, demand []float64, cost func(i, j int) float64) {
+	t.Helper()
+	got, gotErr := Solve(supply, demand, cost)
+	want, wantErr := oracleSolve(supply, demand, cost)
+	if gotErr != nil || wantErr != nil {
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, oracle error %v", name, gotErr, wantErr)
+		}
+		return
+	}
+	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		t.Errorf("%s: objective %v, oracle %v", name, got.Objective, want.Objective)
+	}
+	if len(got.Flows) != len(want.Flows) {
+		t.Errorf("%s: %d flows, oracle %d", name, len(got.Flows), len(want.Flows))
+		return
+	}
+	for k, f := range got.Flows {
+		w := want.Flows[k]
+		if f.From != w.From || f.To != w.To || math.Float64bits(f.Amount) != math.Float64bits(w.Amount) {
+			t.Errorf("%s: flow %d is %+v, oracle %+v", name, k, f, w)
+		}
+	}
+}
+
+func TestSolveMatchesOracleBitForBit(t *testing.T) {
+	r := rng.New(41)
+	for d := 1; d <= 7; d++ {
+		n := d * d
+		one := make([]float64, n)
+		one[n/2] = 1
+		corner := make([]float64, n)
+		corner[0] = 1
+		for draw := 0; draw < 3; draw++ {
+			qa, qb := quarterMasses(r, d)
+			ha, hb := holedMasses(r, d), holedMasses(r, d)
+			instances := []struct {
+				kind           string
+				supply, demand []float64
+			}{
+				{"quarters", qa, qb},
+				{"holed", ha, hb},
+				{"one-cell-supply", one, hb},
+				{"one-cell-demand", ha, corner},
+				{"one-cell-both", one, corner},
+			}
+			for _, p := range []float64{1, 2} {
+				for _, in := range instances {
+					name := fmt.Sprintf("d=%d/draw=%d/p=%v/%s", d, draw, p, in.kind)
+					requireSameAsOracle(t, name, in.supply, in.demand, gridCost(d, p))
+				}
+			}
+		}
+	}
+
+	// The random dense costs of BenchmarkTransportSimplex.
+	supply, demand, costs := denseInstance(50)
+	requireSameAsOracle(t, "dense-50", supply, demand, func(i, j int) float64 { return costs[i*50+j] })
+
+	// Refusals both solvers share.
+	cost := gridCost(2, 2)
+	for _, in := range []struct {
+		name           string
+		supply, demand []float64
+	}{
+		{"empty", nil, []float64{1}},
+		{"negative", []float64{1, -1, 1, 0}, []float64{1, 0, 0, 0}},
+		{"NaN", []float64{1, 0, 0, 0}, []float64{math.NaN(), 0, 0, 0}},
+		{"zero", []float64{0, 0, 0, 0}, []float64{0, 0, 0, 0}},
+		{"unbalanced", []float64{1, 0, 0, 0}, []float64{1, 1, 0, 0}},
+	} {
+		requireSameAsOracle(t, "refusal/"+in.name, in.supply, in.demand, cost)
+	}
+}
+
+// denseInstance is BenchmarkTransportSimplex's n×n problem: random
+// balanced marginals and uniform random costs in [0, 10).
+func denseInstance(n int) (supply, demand, costs []float64) {
+	r := rng.New(6)
+	supply = make([]float64, n)
+	demand = make([]float64, n)
+	var st, dt float64
+	for i := 0; i < n; i++ {
+		supply[i] = r.Float64() + 0.01
+		demand[i] = r.Float64() + 0.01
+		st += supply[i]
+		dt += demand[i]
+	}
+	for i := range demand {
+		demand[i] *= st / dt
+	}
+	costs = make([]float64, n*n)
+	for i := range costs {
+		costs[i] = r.Float64() * 10
+	}
+	return supply, demand, costs
+}
+
+func TestSolveRefusesNonFiniteInput(t *testing.T) {
+	unit := func(i, j int) float64 { return float64(i + j) }
+	for _, c := range []struct {
+		name           string
+		supply, demand []float64
+		cost           func(i, j int) float64
+		want           string
+	}{
+		{"infinite supply", []float64{math.Inf(1), 1}, []float64{1, 1}, unit, "supply +Inf at 0"},
+		{"infinite demand", []float64{1, 1}, []float64{1, math.Inf(1)}, unit, "demand +Inf at 1"},
+		{"overflowing total", []float64{math.MaxFloat64, math.MaxFloat64}, []float64{1, 1}, unit, "overflows"},
+		{"NaN cost", []float64{1, 1}, []float64{1, 1}, offDiagonal(math.NaN()), "cost NaN at (0, 1)"},
+		{"+Inf cost", []float64{1, 1}, []float64{1, 1}, offDiagonal(math.Inf(1)), "cost +Inf at (0, 1)"},
+		{"-Inf cost", []float64{1, 1}, []float64{1, 1}, offDiagonal(math.Inf(-1)), "cost -Inf at (0, 1)"},
+	} {
+		plan, err := Solve(c.supply, c.demand, c.cost)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: plan %+v, err %v; want a refusal containing %q", c.name, plan, err, c.want)
+		}
+	}
+}
+
+// offDiagonal is a 0/bad cost: zero on the diagonal, bad elsewhere.
+func offDiagonal(bad float64) func(i, j int) float64 {
+	return func(i, j int) float64 {
+		if i == j {
+			return 0
+		}
+		return bad
+	}
+}
+
+func TestSolveCallsCostOncePerSurvivingPair(t *testing.T) {
+	supply := []float64{0.5, 0, 0.5}
+	demand := []float64{0, 0.25, 0.25, 0.5}
+	calls := map[[2]int]int{}
+	plan := solveOrFail(t, supply, demand, func(i, j int) float64 {
+		calls[[2]int{i, j}]++
+		if supply[i] == 0 || demand[j] == 0 {
+			return math.NaN() // never evaluated: the row or column is filtered
+		}
+		return math.Abs(float64(i - j))
+	})
+	if len(calls) != 2*3 {
+		t.Fatalf("cost evaluated at %d pairs, want the 6 with mass on both sides: %v", len(calls), calls)
+	}
+	for pair, k := range calls {
+		if k != 1 {
+			t.Errorf("cost(%d, %d) evaluated %d times", pair[0], pair[1], k)
+		}
+	}
+	if plan.Objective <= 0 {
+		t.Fatalf("objective %v", plan.Objective)
+	}
+}
+
+// TestSolveAllocationsDoNotGrowWithPivots pins the allocations of one
+// solve of BenchmarkW2Exact's 10×10 grid instance: the buffers are sized
+// once, so a 3×3 instance, with far fewer pivots, allocates as often.
+func TestSolveAllocationsDoNotGrowWithPivots(t *testing.T) {
+	allocsPerSolve := func(d int) float64 {
+		r := rng.New(3)
+		supply := make([]float64, d*d)
+		demand := make([]float64, d*d)
+		for i := range supply {
+			supply[i] = r.Float64()
+			demand[i] = r.Float64()
+		}
+		normalize(supply)
+		normalize(demand)
+		cost := gridCost(d, 2)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Solve(supply, demand, cost); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	big, small := allocsPerSolve(10), allocsPerSolve(3)
+	if big > 32 {
+		t.Errorf("%v allocations per 10×10 solve, want at most 32", big)
+	}
+	if big != small {
+		t.Errorf("%v allocations per 10×10 solve but %v per 3×3 solve; want the same", big, small)
 	}
 }

@@ -35,9 +35,16 @@ func W2Exact(a, b *grid.Hist2D) (float64, error) {
 }
 
 // WpExactPow returns the raw optimal-transport objective Σ‖x−y‖ᵖ·π(x,y)
-// (that is, Wₚᵖ, not its p-th root) for normalised histograms.
+// (that is, Wₚᵖ, not its p-th root) for normalised histograms. It refuses
+// a negative, NaN or infinite mass, naming the cell.
 func WpExactPow(a, b *grid.Hist2D, p float64) (float64, error) {
 	if err := compatible(a, b); err != nil {
+		return 0, err
+	}
+	if err := checkMasses(a, "first"); err != nil {
+		return 0, err
+	}
+	if err := checkMasses(b, "second"); err != nil {
 		return 0, err
 	}
 	d := a.Dom.D
