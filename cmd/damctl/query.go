@@ -17,8 +17,9 @@ import (
 // The query subcommand answers analyst queries — rectangle totals and
 // top-k heavy-hitter cells — either live against a collector or fleet
 // supervisor (GET /v1/query) or locally from a merged aggregate file.
-// Both routes go through collector.AnswerQuery, so the local answer is
-// the byte-identical reference for the served one: CI diffs the two.
+// Both routes run the same answer arithmetic, so the local answer
+// (collector.AnswerQueryFromAggregate) is the byte-identical reference
+// for the served one: CI diffs the two.
 
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)

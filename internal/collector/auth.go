@@ -30,10 +30,10 @@ func AuthorizeBearer(r *http.Request, token string) bool {
 	return subtle.ConstantTimeCompare([]byte(strings.TrimSpace(h[len(prefix):])), []byte(token)) == 1
 }
 
-// RequireBearer wraps a handler, refusing every request except GET
+// requireBearer wraps a handler, refusing every request except GET
 // /healthz unless it presents the bearer token. An empty token disables
 // the check.
-func RequireBearer(token string, next http.Handler) http.Handler {
+func requireBearer(token string, next http.Handler) http.Handler {
 	if token == "" {
 		return next
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -31,7 +30,6 @@ import (
 	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/metrics"
-	"dpspatial/internal/rangequery"
 	"dpspatial/internal/trace"
 )
 
@@ -133,8 +131,7 @@ const DedupWindow = 1 << 16
 // around the serving lifetime to run the cadence loop.
 type Collector struct {
 	cfg     Config
-	mux     *http.ServeMux
-	handler http.Handler // mux behind the optional bearer-token gate
+	handler http.Handler // the HTTP surface ReadPath.Handler assembled
 
 	// mu guards the mutable collector state. Submissions hold it only
 	// for the merge itself, never during an EM decode.
@@ -143,11 +140,6 @@ type Collector struct {
 	pipeline   *Pipeline
 	agg        *fo.Aggregate
 	generation uint64
-	est        *grid.Hist2D // estimate decoded from estGen (nil until first decode)
-	estGen     uint64
-	estIters   int     // EM iterations of the decode that produced est
-	estWarm    bool    // whether that decode was warm-started
-	estN       float64 // report count of the aggregate est was decoded from
 	stats      Stats
 	acks       *AckLog // idempotency log: submission ID → original ack
 
@@ -158,17 +150,12 @@ type Collector struct {
 	// records it exactly once.
 	store             *durable.Store
 	pipelinePersisted bool
+	snapshotFailures  *metrics.Counter // registered with a store only
 
-	// queryTree caches the quadtree decode backing /v1/query range
-	// answers for TreeEstimator mechanisms, keyed by the generation it
-	// was decoded from — a merge bumps the generation, invalidating it.
-	queryTree    *rangequery.Quadtree
-	queryTreeGen uint64
-	queryTreeN   float64
-
-	// decodeMu serialises EM decodes so concurrent GET /v1/estimate
-	// requests do not duplicate work; submissions proceed meanwhile.
-	decodeMu sync.Mutex
+	// read serves GET /v1/estimate, /v1/query and /v1/aggregate over
+	// snapshots of the canonical aggregate keyed by generation, so a
+	// merge invalidates its decode caches.
+	read *ReadPath
 
 	// reg is the /metrics registry; met the shared instrument set
 	// registered on it. Instrument updates are lock-free, so they are
@@ -209,43 +196,17 @@ func New(cfg Config) (*Collector, error) {
 		}
 	}
 	c.stats.CadenceMillis = cfg.Cadence.Milliseconds()
+	c.read = NewReadPath("collector", c.met, c.readState, func(error) int { return http.StatusConflict })
 	c.registerCollectorMetrics()
 	if !cfg.DisableTraces {
 		c.tracer = trace.NewTracer("collector", cfg.TraceCapacity)
 	}
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("/healthz", c.handleHealthz)
-	c.mux.HandleFunc("/v1/report", c.handleReport)
-	c.mux.HandleFunc("/v1/aggregate", c.handleAggregate)
-	c.mux.HandleFunc("/v1/estimate", c.handleEstimate)
-	c.mux.HandleFunc("/v1/query", c.handleQuery)
-	c.mux.HandleFunc("/v1/stats", c.handleStats)
-	if !cfg.DisableMetrics {
-		c.mux.Handle(MetricsPath, c.reg.Handler())
-	}
-	if c.tracer != nil {
-		c.mux.Handle(TracesPath, c.tracer.Handler())
-	}
-	if cfg.EnablePprof {
-		MountPprof(c.mux)
-	}
-	c.handler = trace.Middleware(c.tracer, cfg.SlowLog, UntracedPath,
-		InstrumentHTTP(c.met, RequireBearer(cfg.AuthToken, c.mux)))
+	c.handler = c.read.Handler(map[string]http.HandlerFunc{
+		"/healthz":   c.handleHealthz,
+		"/v1/report": c.handleReport,
+		"/v1/stats":  c.handleStats,
+	}, c.handleAggregate, c.reg, !cfg.DisableMetrics, c.tracer, cfg.SlowLog, cfg.AuthToken, cfg.EnablePprof)
 	return c, nil
-}
-
-// MountPprof routes net/http/pprof's handlers under PprofPathPrefix on
-// the mux. Both tiers mount it INSIDE their bearer gate — profiling
-// data leaks code layout and timing, so it gets the same secret as the
-// data endpoints — and outside their request accounting and tracing, so
-// enabling a profile run perturbs neither the /metrics series nor the
-// trace ring.
-func MountPprof(mux *http.ServeMux) {
-	mux.HandleFunc(PprofPathPrefix, pprof.Index)
-	mux.HandleFunc(PprofPathPrefix+"cmdline", pprof.Cmdline)
-	mux.HandleFunc(PprofPathPrefix+"profile", pprof.Profile)
-	mux.HandleFunc(PprofPathPrefix+"symbol", pprof.Symbol)
-	mux.HandleFunc(PprofPathPrefix+"trace", pprof.Trace)
 }
 
 // ServeHTTP implements http.Handler.
@@ -275,7 +236,7 @@ func (c *Collector) Start() {
 			case <-ticker.C:
 				// Refresh errors surface on the next GET; the loop only
 				// keeps the estimate warm. No request, so no trace.
-				_, _ = c.refresh(context.Background())
+				_ = c.read.Refresh(context.Background())
 			}
 		}
 	}()
@@ -284,7 +245,8 @@ func (c *Collector) Start() {
 // Close stops the cadence loop and, on a durable collector, compacts
 // any WAL records into a final snapshot so the next start recovers from
 // the snapshot alone. The handler stays usable. A failed final snapshot
-// is harmless — the WAL still holds everything it would have covered.
+// is harmless — the WAL still holds everything it would have covered —
+// and is counted like every other snapshot failure.
 func (c *Collector) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
@@ -481,101 +443,15 @@ func (c *Collector) replayedAck(r *http.Request) (SubmitResponse, bool) {
 	return prev, ok
 }
 
-// estimateState is one decoded estimate plus the metadata of the decode
-// that produced it.
-type estimateState struct {
-	est   *grid.Hist2D
-	gen   uint64
-	n     float64
-	iters int
-	warm  bool
-}
-
-// refresh brings the estimate up to the current generation, decoding at
-// most once. The first decode is cold (EstimateFromAggregate semantics);
-// later decodes warm-start from the previous estimate when the mechanism
-// supports it. It returns the current estimate and the generation it was
-// decoded from. A traced request context hangs a cache-hit event or an
-// EM-decode span off its active span; background callers pass
-// context.Background() and record nothing.
-func (c *Collector) refresh(ctx context.Context) (estimateState, error) {
-	span := trace.SpanFrom(ctx)
-	c.decodeMu.Lock()
-	defer c.decodeMu.Unlock()
-
-	c.mu.Lock()
-	if c.mech == nil {
-		c.mu.Unlock()
-		return estimateState{}, fmt.Errorf("collector has no mechanism yet")
-	}
-	if c.agg.N == 0 {
-		c.mu.Unlock()
-		return estimateState{}, fmt.Errorf("no reports merged yet")
-	}
-	if c.est != nil && c.estGen == c.generation {
-		cur := estimateState{est: c.est, gen: c.estGen, n: c.estN, iters: c.estIters, warm: c.estWarm}
-		c.mu.Unlock()
-		c.met.QueryCacheHits.With(CacheEstimate).Inc()
-		span.Event("estimate.cache.hit", trace.Int("generation", int64(cur.gen)))
-		return cur, nil
-	}
-	// Snapshot under the lock, decode outside it: submissions keep
-	// flowing while EM runs; decodeMu guarantees a single decoder.
-	snapshot := c.agg.Clone()
-	snapGen := c.generation
-	init := c.est
-	mech := c.mech
-	c.mu.Unlock()
-	c.met.QueryCacheMisses.With(CacheEstimate).Inc()
-
-	decodeSpan := span.Child("collector.em.decode")
-	t0 := time.Now()
-	est, iters, warm, err := DecodeEstimate(mech, snapshot, init)
-	if err != nil {
-		decodeSpan.Fail(err)
-		decodeSpan.End()
-		return estimateState{}, err
-	}
-	elapsed := time.Since(t0)
-	mode := "cold"
-	if warm {
-		mode = "warm"
-	}
-	decodeSpan.SetAttr(
-		trace.String("mode", mode),
-		trace.Int("iterations", int64(iters)),
-		trace.Int("generation", int64(snapGen)),
-	)
-	decodeSpan.End()
-
+// readState snapshots the canonical aggregate for the read path: the
+// generation is both its key and its reported generation.
+func (c *Collector) readState(context.Context) (MergedState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.est, c.estGen, c.estN = est, snapGen, snapshot.N
-	c.estIters, c.estWarm = iters, warm
-	c.stats.EstimateGeneration = snapGen
-	savedBefore := c.stats.IterationsSaved
-	c.stats.Account(iters, warm)
-	c.met.ObserveDecode(elapsed, iters, warm, c.stats.IterationsSaved-savedBefore)
-	return estimateState{est: est, gen: snapGen, n: snapshot.N, iters: iters, warm: warm}, nil
-}
-
-// DecodeEstimate runs one estimate decode: warm-started from init when
-// the mechanism supports it and init is non-nil, cold otherwise. The
-// collector's refresh and the fleet supervisor's share it so the
-// cold/warm selection cannot diverge between the tiers.
-func DecodeEstimate(mech Estimator, agg *fo.Aggregate, init *grid.Hist2D) (est *grid.Hist2D, iters int, warm bool, err error) {
-	if ws, ok := mech.(WarmEstimator); ok {
-		e, stats, err := ws.EstimateFromAggregateWarm(agg, init)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return e, stats.Iterations, init != nil, nil
+	if c.mech == nil {
+		return MergedState{}, fmt.Errorf("collector has no mechanism yet")
 	}
-	e, err := mech.EstimateFromAggregate(agg)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return e, 0, false, nil
+	return MergedState{Mech: c.mech, Pipeline: c.pipeline, Agg: c.agg.Clone(), Key: c.generation, Gen: c.generation}, nil
 }
 
 // --- HTTP handlers ---
@@ -694,17 +570,8 @@ func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAggregate accepts a serialized aggregate shard (POST, DPA1/DPA2
-// blob) or serves the merged canonical aggregate (GET, DPA2 blob).
+// blob); the read path serves GET.
 func (c *Collector) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-	case http.MethodGet:
-		c.serveAggregate(w)
-		return
-	default:
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST only"))
-		return
-	}
 	if prev, ok := c.replayedAck(r); ok {
 		writeJSON(w, http.StatusOK, &prev)
 		return
@@ -750,60 +617,6 @@ func (c *Collector) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &resp)
 }
 
-func (c *Collector) serveAggregate(w http.ResponseWriter) {
-	c.mu.Lock()
-	if c.mech == nil {
-		c.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Errorf("collector has no mechanism yet"))
-		return
-	}
-	blob, err := c.agg.MarshalBinary()
-	var hdr []byte
-	if c.pipeline != nil {
-		hdr, _ = json.Marshal(c.pipeline)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if hdr != nil {
-		w.Header().Set(PipelineHeader, string(hdr))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
-}
-
-// handleEstimate serves the current histogram, refreshing first if new
-// shards arrived since the last decode — so the response always reflects
-// every merged submission.
-func (c *Collector) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	cur, err := c.refresh(r.Context())
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	est := cur.est
-	c.mu.Lock()
-	resp := EstimateResponse{
-		Scheme:     c.mech.Scheme(),
-		Generation: cur.gen,
-		Reports:    cur.n,
-		D:          est.Dom.D,
-		Domain:     DomainSpec{MinX: est.Dom.MinX, MinY: est.Dom.MinY, Side: est.Dom.Side},
-		Mass:       est.Mass,
-		Iterations: cur.iters,
-		Warm:       cur.warm,
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, &resp)
-}
-
 func (c *Collector) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
@@ -812,6 +625,7 @@ func (c *Collector) handleStats(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	stats := c.stats
 	c.mu.Unlock()
+	stats.DecodeCounters, stats.EstimateGeneration = c.read.DecodeStats()
 	if c.store != nil {
 		ds := c.store.Stats()
 		stats.Durability = &ds

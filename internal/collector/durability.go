@@ -297,7 +297,7 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, re
 // maybeSnapshotLocked compacts the WAL into a snapshot once the replay
 // cost of a crash reaches the configured cadence. A snapshot failure
 // must not fail the submission that tripped it — the WAL already holds
-// the record — so errors surface only through the store's stats.
+// the record — so it surfaces as dpspatial_durable_snapshot_failures_total.
 // Callers hold mu.
 func (c *Collector) maybeSnapshotLocked() {
 	if c.store == nil {
@@ -312,12 +312,17 @@ func (c *Collector) maybeSnapshotLocked() {
 	}
 }
 
-// snapshotLocked atomically persists the full collector state. Callers
-// hold mu.
-func (c *Collector) snapshotLocked() error {
+// snapshotLocked atomically persists the full collector state, counting
+// every failure. Callers hold mu.
+func (c *Collector) snapshotLocked() (err error) {
 	if c.store == nil || c.mech == nil {
 		return nil
 	}
+	defer func() {
+		if err != nil {
+			c.snapshotFailures.Inc()
+		}
+	}()
 	state, err := c.agg.MarshalBinary()
 	if err != nil {
 		return &storeError{err}

@@ -576,3 +576,46 @@ func TestDurableReportStreamRecovery(t *testing.T) {
 		t.Fatal("report-stream recovery diverged")
 	}
 }
+
+// TestDurableSnapshotFailuresCounted makes every snapshot attempt fail
+// before its rename: each submission must still be acked — the WAL
+// already holds it — and each failed attempt must show in
+// dpspatial_durable_snapshot_failures_total instead of vanishing.
+func TestDurableSnapshotFailuresCounted(t *testing.T) {
+	const d, eps = 5, 2.0
+	mech := newDAM(t, d, eps)
+	st, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	st.Hooks.BeforeSnapshotRename = func() error { return fmt.Errorf("injected snapshot failure") }
+	c, err := collector.New(collector.Config{
+		Mechanism: mech, Pipeline: durPipeline(mech, d, eps),
+		Store: st, SnapshotEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	t.Cleanup(srv.Close)
+	client := collector.NewClient(srv.URL)
+
+	blobs, ids := marshalShards(t, accumulateShards(t, mech, 2, 29), "snapfail")
+	for i := range blobs {
+		resp, err := client.SubmitAggregateBlobWithID(context.Background(), blobs[i], nil, ids[i])
+		if err != nil {
+			t.Fatalf("submission %d refused although only its snapshot failed: %v", i, err)
+		}
+		if resp.Generation != uint64(i+1) {
+			t.Fatalf("submission %d acked at generation %d, want %d", i, resp.Generation, i+1)
+		}
+	}
+	exp := scrapeMetrics(t, client.BaseURL)
+	if got := seriesValue(t, exp, "dpspatial_durable_snapshot_failures_total"); got != 2 {
+		t.Fatalf("snapshot failures = %g after two failed snapshots, want 2", got)
+	}
+	if got := seriesValue(t, exp, "dpspatial_durable_snapshots_written_total"); got != 0 {
+		t.Fatalf("snapshots written = %g although every attempt failed, want 0", got)
+	}
+}

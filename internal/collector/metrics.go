@@ -17,7 +17,7 @@ import (
 
 // MetricsPath is the exposition endpoint both tiers serve. It sits
 // behind the same bearer-token gate as the data endpoints, and is one
-// of the paths InstrumentHTTP does NOT count — scraping must not
+// of the paths instrumentHTTP does NOT count — scraping must not
 // perturb the series being scraped, or two scrapes of a quiesced
 // service could never be byte-identical.
 const MetricsPath = "/metrics"
@@ -35,12 +35,12 @@ const TracesPath = "/v1/traces"
 // widen metric cardinality.
 const PprofPathPrefix = "/debug/pprof/"
 
-// UntracedPath reports the paths the tracing middleware must pass
+// untracedPath reports the paths the tracing middleware must pass
 // through unrecorded: the observability surfaces themselves (metrics,
 // traces, pprof) — reading them must not generate entries in what they
 // expose — and health probes, whose per-cadence noise would evict every
 // interesting trace from the bounded ring.
-func UntracedPath(p string) bool {
+func untracedPath(p string) bool {
 	return p == MetricsPath || p == TracesPath || p == "/healthz" ||
 		len(p) >= len(PprofPathPrefix) && p[:len(PprofPathPrefix)] == PprofPathPrefix
 }
@@ -209,7 +209,7 @@ func normalizePath(p string) string {
 	return "other"
 }
 
-// InstrumentHTTP wraps a tier's full handler chain (including the
+// instrumentHTTP wraps a tier's full handler chain (including the
 // bearer-token gate, so 401s are counted) with request accounting:
 // per-path request and latency series, plus the refused-submission and
 // refused-query counters derived from the response status — which is
@@ -217,9 +217,9 @@ func normalizePath(p string) string {
 // without instrumenting each one. Requests to MetricsPath, TracesPath
 // and the pprof prefix pass through uncounted: scraping any
 // observability surface must leave the request series byte-identical —
-// the same exclusion set the tracing middleware applies (UntracedPath
+// the same exclusion set the tracing middleware applies (untracedPath
 // minus /healthz, which IS counted, just never traced).
-func InstrumentHTTP(m *ServiceMetrics, next http.Handler) http.Handler {
+func instrumentHTTP(m *ServiceMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if p := r.URL.Path; p == MetricsPath || p == TracesPath ||
 			len(p) >= len(PprofPathPrefix) && p[:len(PprofPathPrefix)] == PprofPathPrefix {
@@ -277,9 +277,8 @@ func (c *Collector) registerCollectorMetrics() {
 	c.reg.GaugeFunc("dpspatial_estimate_generation",
 		"Generation the served estimate was decoded from (0 = no estimate yet).",
 		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.estGen)
+			_, gen := c.read.DecodeStats()
+			return float64(gen)
 		})
 	if c.store == nil {
 		return
@@ -297,6 +296,8 @@ func (c *Collector) registerCollectorMetrics() {
 	c.reg.CounterFunc("dpspatial_durable_snapshots_written_total",
 		"Durable snapshots installed by this process.",
 		func() float64 { return float64(st.Stats().SnapshotsWritten) })
+	c.snapshotFailures = c.reg.Counter("dpspatial_durable_snapshot_failures_total",
+		"Snapshot attempts that failed, from encoding the state through installing the file; the WAL still holds every record they would have covered.")
 	c.reg.GaugeFunc("dpspatial_durable_records_since_snapshot",
 		"WAL records a crash right now would replay.",
 		func() float64 { return float64(st.Stats().RecordsSinceSnapshot) })

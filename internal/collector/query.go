@@ -2,7 +2,6 @@ package collector
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -12,7 +11,6 @@ import (
 	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/rangequery"
-	"dpspatial/internal/trace"
 )
 
 // GET /v1/query serves analyst queries straight from the collector's
@@ -175,12 +173,12 @@ type BadQueryError struct{ Err error }
 func (e *BadQueryError) Error() string { return e.Err.Error() }
 func (e *BadQueryError) Unwrap() error { return e.Err }
 
-// AnswerQuery resolves a parsed query against decoded state: the
+// answerQuery resolves a parsed query against decoded state: the
 // quadtree when the mechanism decodes one and the request is a range
 // query (tree non-nil, est ignored), the estimate histogram otherwise.
-// Both HTTP tiers and the in-process reference route through it, so the
+// The read path and the in-process reference route through it, so the
 // answer arithmetic cannot diverge between them.
-func AnswerQuery(req QueryRequest, scheme string, gen uint64, n float64, tree *rangequery.Quadtree, est *grid.Hist2D) (*QueryResponse, error) {
+func answerQuery(req QueryRequest, scheme string, gen uint64, n float64, tree *rangequery.Quadtree, est *grid.Hist2D) (*QueryResponse, error) {
 	resp := &QueryResponse{Type: req.Type, Scheme: scheme, Generation: gen, Reports: n}
 	switch req.Type {
 	case QueryTypeRange:
@@ -253,103 +251,13 @@ func AnswerQueryFromAggregate(mech Estimator, agg *fo.Aggregate, req QueryReques
 		if err != nil {
 			return nil, err
 		}
-		return AnswerQuery(req, mech.Scheme(), 0, agg.N, tree, nil)
+		return answerQuery(req, mech.Scheme(), 0, agg.N, tree, nil)
 	}
 	est, err := mech.EstimateFromAggregate(agg)
 	if err != nil {
 		return nil, err
 	}
-	return AnswerQuery(req, mech.Scheme(), 0, agg.N, nil, est)
-}
-
-// handleQuery serves GET /v1/query from the current merged state,
-// refreshing the needed decode first so the answer always reflects every
-// merged submission.
-func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	req, err := ParseQueryRequest(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := c.answerQuery(r.Context(), req)
-	if err != nil {
-		status := http.StatusConflict
-		if errors.As(err, new(*BadQueryError)) {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, err)
-		return
-	}
-	c.met.Queries.With(req.Type).Inc()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// answerQuery picks the answering basis for the locked mechanism and
-// brings the matching decode up to the current generation. The context
-// threads the request's trace span into the decode paths.
-func (c *Collector) answerQuery(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	c.mu.Lock()
-	mech := c.mech
-	c.mu.Unlock()
-	if mech == nil {
-		return nil, fmt.Errorf("collector has no mechanism yet")
-	}
-	if te, ok := mech.(TreeEstimator); ok && req.Type == QueryTypeRange {
-		tree, gen, n, err := c.rangeTree(ctx, te)
-		if err != nil {
-			return nil, err
-		}
-		return AnswerQuery(req, mech.Scheme(), gen, n, tree, nil)
-	}
-	cur, err := c.refresh(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return AnswerQuery(req, mech.Scheme(), cur.gen, cur.n, nil, cur.est)
-}
-
-// rangeTree returns the quadtree decoded from the current canonical
-// aggregate, decoding at most once per generation: a merge bumps the
-// generation, which invalidates the cached tree on the next query.
-// decodeMu serialises the decode with estimate refreshes so concurrent
-// queries never duplicate work.
-func (c *Collector) rangeTree(ctx context.Context, te TreeEstimator) (*rangequery.Quadtree, uint64, float64, error) {
-	span := trace.SpanFrom(ctx)
-	c.decodeMu.Lock()
-	defer c.decodeMu.Unlock()
-	c.mu.Lock()
-	if c.queryTree != nil && c.queryTreeGen == c.generation {
-		t, gen, n := c.queryTree, c.queryTreeGen, c.queryTreeN
-		c.mu.Unlock()
-		c.met.QueryCacheHits.With(CacheTree).Inc()
-		span.Event("tree.cache.hit", trace.Int("generation", int64(gen)))
-		return t, gen, n, nil
-	}
-	if c.agg.N == 0 {
-		c.mu.Unlock()
-		return nil, 0, 0, fmt.Errorf("no reports merged yet")
-	}
-	snapshot := c.agg.Clone()
-	gen := c.generation
-	c.mu.Unlock()
-	c.met.QueryCacheMisses.With(CacheTree).Inc()
-	treeSpan := span.Child("collector.tree.decode")
-	tree, _, err := te.EstimateTreeFromAggregate(snapshot)
-	if err != nil {
-		treeSpan.Fail(err)
-		treeSpan.End()
-		return nil, 0, 0, err
-	}
-	treeSpan.SetAttr(trace.Int("generation", int64(gen)))
-	treeSpan.End()
-	c.mu.Lock()
-	c.queryTree, c.queryTreeGen, c.queryTreeN = tree, gen, snapshot.N
-	c.mu.Unlock()
-	return tree, gen, snapshot.N, nil
+	return answerQuery(req, mech.Scheme(), 0, agg.N, nil, est)
 }
 
 // Query answers a range or top-k query against the collector's (or

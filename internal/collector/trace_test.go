@@ -334,3 +334,88 @@ func TestPprofGated(t *testing.T) {
 		t.Fatalf("pprof scrapes recorded %d traces, want 0", n)
 	}
 }
+
+// tracedGet issues an untokened GET and returns the trace ID the
+// response header echoes.
+func tracedGet(t *testing.T, url string) string {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d: %s", url, res.StatusCode, body)
+	}
+	return res.Header.Get(trace.TraceIDHeader)
+}
+
+// TestDecodeSpanContract pins the read path's decode spans on a
+// collector, one request per case and in order: a decode records its
+// collector.*.decode span under the request root, and a repeat at the
+// same generation records the matching cache-hit event instead of a
+// decode. Every span and event carries the generation it answers for.
+func TestDecodeSpanContract(t *testing.T) {
+	a := newAHEAD(t, 8, 1.5)
+	c, err := collector.New(collector.Config{Mechanism: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	t.Cleanup(srv.Close)
+	client := collector.NewClient(srv.URL)
+	for _, s := range estimatorShards(t, a, 2, 53) {
+		if _, err := client.SubmitAggregate(context.Background(), s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const rangePath = "/v1/query?type=range&x0=1&y0=1&x1=6&y1=5"
+	for _, tc := range []struct {
+		name, path string
+		span       string // decode span the request must record, or
+		event      string // cache-hit event its root must carry instead
+		attrs      []string
+	}{
+		{"first estimate decodes", "/v1/estimate", "collector.em.decode", "", []string{"mode", "iterations", "generation"}},
+		{"repeat estimate hits the cache", "/v1/estimate", "", "estimate.cache.hit", []string{"generation"}},
+		{"first range query decodes the tree", rangePath, "collector.tree.decode", "", []string{"generation"}},
+		{"repeat range query hits the tree cache", rangePath, "", "tree.cache.hit", []string{"generation"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			td := waitTrace(t, c.Tracer(), tracedGet(t, srv.URL+tc.path))
+			root := &td.Spans[0]
+			var attrs map[string]any
+			if tc.span != "" {
+				sp := spanByName(td, tc.span)
+				if sp == nil || sp.ParentSpanID != root.SpanID {
+					t.Fatalf("no %s span under the request root (have %v)", tc.span, spanNames(td))
+				}
+				attrs = sp.Attrs
+			} else {
+				for _, name := range []string{"collector.em.decode", "collector.tree.decode"} {
+					if spanByName(td, name) != nil {
+						t.Fatalf("cached read recorded a %s span", name)
+					}
+				}
+				for _, ev := range root.Events {
+					if ev.Name == tc.event {
+						attrs = ev.Attrs
+					}
+				}
+				if attrs == nil {
+					t.Fatalf("root span lacks the %s event (events: %+v)", tc.event, root.Events)
+				}
+			}
+			for _, k := range tc.attrs {
+				if _, ok := attrs[k]; !ok {
+					t.Fatalf("%s%s lacks the %s attribute: %v", tc.span, tc.event, k, attrs)
+				}
+			}
+			if attrs["generation"] != int64(2) {
+				t.Fatalf("%s%s generation = %#v, want 2", tc.span, tc.event, attrs["generation"])
+			}
+		})
+	}
+}

@@ -8,11 +8,9 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sync"
-	"time"
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/fo"
-	"dpspatial/internal/grid"
 	"dpspatial/internal/trace"
 )
 
@@ -39,16 +37,13 @@ func (e *memberDownError) Error() string {
 }
 func (e *memberDownError) Unwrap() error { return e.err }
 
-// errNoMechanism / errNoReports are the pre-adoption refusals, mapped to
-// 409 like the collector's.
-var (
-	errNoMechanism = errors.New("fleet has no mechanism yet; submit a shard with pipeline metadata first")
-	errNoReports   = errors.New("no reports merged across the fleet yet")
-)
+// errNoMechanism is the pre-adoption refusal, mapped to 409 like the
+// collector's.
+var errNoMechanism = errors.New("fleet has no mechanism yet; submit a shard with pipeline metadata first")
 
-// pullErrorStatus maps a pull/refresh error to an HTTP status: the
-// pre-adoption state refusals are 409 (a collector answers the same
-// way, so stacking supervisors read it as "holds nothing yet"),
+// pullErrorStatus maps a pull/decode error to an HTTP status: the
+// pre-adoption refusal is 409 (a collector answers the same way, so
+// stacking supervisors read it as "holds nothing yet"),
 // missing member data is 503, and everything else — a corrupt blob, a
 // merge failure — is 502: a gateway-side data error that must NOT look
 // like an empty member to the tier above.
@@ -56,7 +51,7 @@ func pullErrorStatus(err error) int {
 	switch {
 	case errors.As(err, new(*memberDownError)):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errNoMechanism), errors.Is(err, errNoReports):
+	case errors.Is(err, errNoMechanism):
 		return http.StatusConflict
 	default:
 		return http.StatusBadGateway
@@ -162,72 +157,15 @@ func (s *Supervisor) pullMerged(ctx context.Context) (*fo.Aggregate, uint64, err
 	return merged, h.Sum64(), nil
 }
 
-// estimateState is one decoded fleet estimate plus the metadata of the
-// decode that produced it.
-type estimateState struct {
-	est   *grid.Hist2D
-	gen   uint64
-	n     float64
-	iters int
-	warm  bool
-}
-
-// refresh brings the fleet estimate up to the current member state,
-// pulling the member aggregates and decoding at most once. The first
-// decode is cold — EstimateFromAggregate semantics over the union of
-// shards — and later decodes warm-start from the previous estimate when
-// the mechanism supports it, with the iteration saving accumulated in
-// the stats exactly like a single collector's.
-func (s *Supervisor) refresh(ctx context.Context) (estimateState, error) {
-	s.decodeMu.Lock()
-	defer s.decodeMu.Unlock()
-
+// readState pulls the fleet state for the read path: the member-blob
+// hash is its key, and the routed-submission count at pull time the
+// generation answers report.
+func (s *Supervisor) readState(ctx context.Context) (collector.MergedState, error) {
 	merged, hash, err := s.pullMerged(ctx)
 	if err != nil {
-		return estimateState{}, err
+		return collector.MergedState{}, err
 	}
-	if merged.N == 0 {
-		return estimateState{}, errNoReports
-	}
-	s.mu.Lock()
-	if s.est != nil && s.estHash == hash {
-		cur := estimateState{est: s.est, gen: s.estGen, n: s.estN, iters: s.estIters, warm: s.estWarm}
-		s.mu.Unlock()
-		s.met.QueryCacheHits.With(collector.CacheEstimate).Inc()
-		trace.SpanFrom(ctx).Event("estimate.cache.hit", trace.Int("generation", int64(cur.gen)))
-		return cur, nil
-	}
-	init := s.est
-	mech := s.mech
-	routed := s.stats.Routed
-	s.mu.Unlock()
-	s.met.QueryCacheMisses.With(collector.CacheEstimate).Inc()
-
-	decodeSpan := trace.SpanFrom(ctx).Child("fleet.em.decode")
-	t0 := time.Now()
-	est, iters, warm, err := collector.DecodeEstimate(mech, merged, init)
-	if err != nil {
-		decodeSpan.Fail(err)
-		decodeSpan.End()
-		return estimateState{}, err
-	}
-	elapsed := time.Since(t0)
-	mode := collector.DecodeCold
-	if warm {
-		mode = collector.DecodeWarm
-	}
-	decodeSpan.SetAttr(trace.String("mode", mode), trace.Int("iterations", int64(iters)))
-	decodeSpan.End()
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.estHash != hash {
-		s.stateHashGens.Inc()
-	}
-	s.est, s.estHash, s.estGen, s.estN = est, hash, routed, merged.N
-	s.estIters, s.estWarm = iters, warm
-	savedBefore := s.stats.IterationsSaved
-	s.stats.Account(iters, warm)
-	s.met.ObserveDecode(elapsed, iters, warm, s.stats.IterationsSaved-savedBefore)
-	return estimateState{est: est, gen: routed, n: merged.N, iters: iters, warm: warm}, nil
+	return collector.MergedState{Mech: s.mech, Pipeline: s.pipeline, Agg: merged, Key: hash, Gen: s.stats.Routed}, nil
 }

@@ -80,8 +80,14 @@ func (s *Supervisor) registerFleetMetrics() {
 	}
 	s.fleetFailovers = s.reg.Counter("dpspatial_fleet_failovers_total",
 		"Submission attempts that failed over past a member, fleet-wide.")
-	s.stateHashGens = s.reg.Counter("dpspatial_fleet_state_hash_generations_total",
-		"Distinct member-state hashes decoded: how many times the fleet-wide member-blob hash changed and forced a fresh decode.")
+	// The fleet decodes an estimate only when the member-blob hash
+	// changed, so its decode count is the count of hashes decoded.
+	s.reg.CounterFunc("dpspatial_fleet_state_hash_generations_total",
+		"Distinct member-state hashes decoded: how many times the fleet-wide member-blob hash changed and forced a fresh decode.",
+		func() float64 {
+			d, _ := s.read.DecodeStats()
+			return float64(d.Estimates)
+		})
 	s.reg.Gauge("dpspatial_fleet_members",
 		"Configured fleet members.").Set(float64(len(s.members)))
 	s.reg.GaugeFunc("dpspatial_generation",
@@ -94,9 +100,8 @@ func (s *Supervisor) registerFleetMetrics() {
 	s.reg.GaugeFunc("dpspatial_estimate_generation",
 		"Routed-submission count the served fleet estimate was decoded at (0 = no estimate yet).",
 		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.estGen)
+			_, gen := s.read.DecodeStats()
+			return float64(gen)
 		})
 }
 

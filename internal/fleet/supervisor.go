@@ -4,11 +4,12 @@
 //
 // The supervisor speaks the collector's own wire protocol — POST
 // /v1/report and /v1/aggregate accept the same framings, GET
-// /v1/estimate, /v1/aggregate, /v1/stats and /healthz serve the same
-// envelopes — so clients, `damctl submit` and `damctl estimate
-// --from-url` point at a supervisor transparently, and supervisors chain
-// under bigger supervisors exactly like collectors chain under a
-// supervisor. Submissions are routed across the fleet (round-robin or
+// /v1/estimate, /v1/query, /v1/aggregate, /v1/stats and /healthz serve
+// the same envelopes (the reads through the collector's own ReadPath) —
+// so clients, `damctl submit` and `damctl estimate --from-url` point at
+// a supervisor transparently, and supervisors chain under bigger
+// supervisors exactly like collectors chain under a supervisor.
+// Submissions are routed across the fleet (round-robin or
 // consistent hash, failing over past unhealthy members off /healthz),
 // and the estimate is decoded from the hierarchical merge of every
 // member's canonical aggregate, pulled as DPA2 blobs.
@@ -43,9 +44,7 @@ import (
 	"dpspatial/internal/collector"
 	"dpspatial/internal/durable"
 	"dpspatial/internal/fo"
-	"dpspatial/internal/grid"
 	"dpspatial/internal/metrics"
-	"dpspatial/internal/rangequery"
 	"dpspatial/internal/trace"
 )
 
@@ -106,7 +105,6 @@ type Config struct {
 // lifetime to run the probe + merge cadence loop.
 type Supervisor struct {
 	cfg     Config
-	mux     *http.ServeMux
 	handler http.Handler
 	members []*member
 	router  router
@@ -127,32 +125,18 @@ type Supervisor struct {
 	acks     *collector.AckLog  // idempotency log: submission ID → ack
 	inflight map[string]bool    // submission IDs currently being forwarded
 	sticky   map[string]*member // unknown-state submissions pinned to the member that may hold them
-	est      *grid.Hist2D       // fleet estimate (nil until first decode)
-	estHash  uint64             // member-blob hash of the pull est was decoded from
-	estGen   uint64             // routed-submission count at that pull
-	estN     float64
-	estIters int
-	estWarm  bool
 
-	// queryTree caches the quadtree decode backing /v1/query range
-	// answers for TreeEstimator mechanisms, keyed by the member-blob
-	// hash of the pull it was decoded from.
-	queryTree     *rangequery.Quadtree
-	queryTreeHash uint64
-	queryTreeGen  uint64
-	queryTreeN    float64
-
-	// decodeMu serialises pull+decode cycles so concurrent GET
-	// /v1/estimate requests do not duplicate EM work.
-	decodeMu sync.Mutex
+	// read serves GET /v1/estimate, /v1/query and /v1/aggregate over
+	// fresh pulls of the member aggregates, keyed by the member-blob
+	// hash so an unchanged fleet reuses its decodes.
+	read *collector.ReadPath
 
 	// reg is the /metrics registry; met the collector-tier shared
-	// instrument set registered on it; the two counters are the
-	// fleet-only families registerFleetMetrics adds.
+	// instrument set registered on it; fleetFailovers the fleet-only
+	// counter registerFleetMetrics adds.
 	reg            *metrics.Registry
 	met            *collector.ServiceMetrics
 	fleetFailovers *metrics.Counter
-	stateHashGens  *metrics.Counter
 
 	// tracer records per-request span trees (root per request, child per
 	// routed attempt) into the ring GET /v1/traces serves; nil when
@@ -212,26 +196,16 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	s.stats.Policy = cfg.Policy
 	s.stats.CadenceMillis = cfg.Cadence.Milliseconds()
+	s.read = collector.NewReadPath("fleet", s.met, s.readState, pullErrorStatus)
 	s.registerFleetMetrics()
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/report", s.handleReport)
-	s.mux.HandleFunc("/v1/aggregate", s.handleAggregate)
-	s.mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	s.mux.HandleFunc("/v1/query", s.handleQuery)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	if !cfg.DisableMetrics {
-		s.mux.Handle(collector.MetricsPath, s.reg.Handler())
-	}
 	if !cfg.DisableTraces {
 		s.tracer = trace.NewTracer("supervisor", cfg.TraceCapacity)
-		s.mux.Handle(collector.TracesPath, s.tracer.Handler())
 	}
-	if cfg.EnablePprof {
-		collector.MountPprof(s.mux)
-	}
-	s.handler = trace.Middleware(s.tracer, cfg.SlowLog, collector.UntracedPath,
-		collector.InstrumentHTTP(s.met, collector.RequireBearer(cfg.AuthToken, s.mux)))
+	s.handler = s.read.Handler(map[string]http.HandlerFunc{
+		"/healthz":   s.handleHealthz,
+		"/v1/report": s.handleReport,
+		"/v1/stats":  s.handleStats,
+	}, s.handleAggregate, s.reg, !cfg.DisableMetrics, s.tracer, cfg.SlowLog, cfg.AuthToken, cfg.EnablePprof)
 	return s, nil
 }
 
@@ -267,7 +241,7 @@ func (s *Supervisor) Start() {
 				s.probeMembers(ctx)
 				// Refresh errors surface on the next GET; the loop only
 				// keeps the estimate warm.
-				_, _ = s.refresh(ctx)
+				_ = s.read.Refresh(ctx)
 				cancel()
 			}
 		}
@@ -351,19 +325,9 @@ func (s *Supervisor) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.routeSubmission(w, r, kindReport, body, hdr, hasHdr)
 }
 
-// handleAggregate routes a DPA1/DPA2 blob submission (POST) or serves
-// the hierarchically merged fleet aggregate (GET, DPA2 blob — the
-// chaining primitive for stacking supervisors).
+// handleAggregate routes a DPA1/DPA2 blob submission (POST); the read
+// path serves GET, the hierarchically merged fleet aggregate.
 func (s *Supervisor) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-	case http.MethodGet:
-		s.serveAggregate(w, r)
-		return
-	default:
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST only"))
-		return
-	}
 	if prev, ok := s.replayedAck(r); ok {
 		collector.WriteJSON(w, http.StatusOK, &prev)
 		return
@@ -794,61 +758,6 @@ func (s *Supervisor) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleEstimate pulls every member's aggregate, merges hierarchically,
-// and serves the decoded fleet histogram — cold on the first decode,
-// warm-started afterwards.
-func (s *Supervisor) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	cur, err := s.refresh(r.Context())
-	if err != nil {
-		collector.WriteError(w, pullErrorStatus(err), err)
-		return
-	}
-	s.mu.Lock()
-	scheme := s.stats.Scheme
-	s.mu.Unlock()
-	est := cur.est
-	collector.WriteJSON(w, http.StatusOK, &collector.EstimateResponse{
-		Scheme:     scheme,
-		Generation: cur.gen,
-		Reports:    cur.n,
-		D:          est.Dom.D,
-		Domain:     collector.DomainSpec{MinX: est.Dom.MinX, MinY: est.Dom.MinY, Side: est.Dom.Side},
-		Mass:       est.Mass,
-		Iterations: cur.iters,
-		Warm:       cur.warm,
-	})
-}
-
-// serveAggregate serves the fleet-merged aggregate as a DPA2 blob, with
-// the pinned pipeline in the response header — byte-compatible with a
-// collector's GET /v1/aggregate, so supervisors stack.
-func (s *Supervisor) serveAggregate(w http.ResponseWriter, r *http.Request) {
-	merged, _, err := s.pullMerged(r.Context())
-	if err != nil {
-		collector.WriteError(w, pullErrorStatus(err), err)
-		return
-	}
-	blob, err := merged.MarshalBinary()
-	if err != nil {
-		collector.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.mu.Lock()
-	pipeline := s.pipeline
-	s.mu.Unlock()
-	if pipeline != nil {
-		hdr, _ := json.Marshal(pipeline)
-		w.Header().Set(collector.PipelineHeader, string(hdr))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
-}
-
 func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
@@ -858,6 +767,7 @@ func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := s.stats
 	s.mu.Unlock()
 	stats.Generation = stats.Routed
+	stats.DecodeCounters, _ = s.read.DecodeStats()
 	stats.Members = s.memberStats(r.Context())
 	for _, m := range stats.Members {
 		stats.Reports += m.Reports

@@ -13,6 +13,10 @@ import (
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/fleet"
+	"dpspatial/internal/fo"
+	"dpspatial/internal/grid"
+	"dpspatial/internal/rangequery"
+	"dpspatial/internal/rng"
 	"dpspatial/internal/trace"
 )
 
@@ -256,5 +260,123 @@ func TestFleetTraceScrapeUnderTraffic(t *testing.T) {
 	}
 	if got := len(f.sup.Tracer().Snapshot(0, "", 0)); got > trace.DefaultCapacity {
 		t.Fatalf("ring snapshot %d entries, over capacity %d", got, trace.DefaultCapacity)
+	}
+}
+
+// TestFleetDecodeSpanContract pins the read path's decode spans one tier
+// up, over a two-member AHEAD fleet, one request per case and in order:
+// a decode records its fleet.*.decode span under the request root, and
+// a repeat over unchanged members records the matching cache-hit event
+// instead of a decode. Every span and event carries the routed-count
+// generation it answers for — the same contract as a collector's.
+func TestFleetDecodeSpanContract(t *testing.T) {
+	dom, err := grid.NewDomain(0, 0, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := rangequery.NewAHEAD(dom, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeline := &collector.Pipeline{
+		Mech: "AHEAD", D: 8, Eps: 1.5,
+		Scheme: a.Scheme(), Shape: a.ReportShape(),
+		Domain: collector.DomainSpec{MinX: 0, MinY: 0, Side: 1},
+	}
+	urls := make([]string, 2)
+	for i := range urls {
+		c, err := collector.New(collector.Config{Mechanism: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c)
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	sup, err := fleet.New(fleet.Config{Members: urls, Mechanism: a, Pipeline: pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	supSrv := httptest.NewServer(sup)
+	t.Cleanup(func() { supSrv.Close(); sup.Close() })
+	client := collector.NewClient(supSrv.URL)
+
+	shards := []*fo.Aggregate{a.NewAggregate(), a.NewAggregate()}
+	r := rng.New(59)
+	for i := 0; i < a.NumInputs(); i++ {
+		for k := 0; k < 2+i%5; k++ {
+			rep, err := a.Report(i, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := shards[(i+k)%2].Add(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, s := range shards {
+		if _, err := client.SubmitAggregate(context.Background(), s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const rangePath = "/v1/query?type=range&x0=1&y0=1&x1=6&y1=5"
+	for _, tc := range []struct {
+		name, path string
+		span       string // decode span the request must record, or
+		event      string // cache-hit event its root must carry instead
+		attrs      []string
+	}{
+		{"first estimate decodes", "/v1/estimate", "fleet.em.decode", "", []string{"mode", "iterations", "generation"}},
+		{"repeat estimate hits the cache", "/v1/estimate", "", "estimate.cache.hit", []string{"generation"}},
+		{"first range query decodes the tree", rangePath, "fleet.tree.decode", "", []string{"generation"}},
+		{"repeat range query hits the tree cache", rangePath, "", "tree.cache.hit", []string{"generation"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := http.Get(supSrv.URL + tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(res.Body)
+			res.Body.Close()
+			if res.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: HTTP %d: %s", tc.path, res.StatusCode, body)
+			}
+			td := ringTrace(t, sup.Tracer(), res.Header.Get(trace.TraceIDHeader))
+			root := &td.Spans[0]
+			if traceSpan(td, "fleet.pull") == nil {
+				t.Fatal("read recorded no fleet.pull span")
+			}
+			var attrs map[string]any
+			if tc.span != "" {
+				sp := traceSpan(td, tc.span)
+				if sp == nil || sp.ParentSpanID != root.SpanID {
+					t.Fatalf("no %s span under the request root (spans: %+v)", tc.span, td.Spans)
+				}
+				attrs = sp.Attrs
+			} else {
+				for _, name := range []string{"fleet.em.decode", "fleet.tree.decode"} {
+					if traceSpan(td, name) != nil {
+						t.Fatalf("cached read recorded a %s span", name)
+					}
+				}
+				for _, ev := range root.Events {
+					if ev.Name == tc.event {
+						attrs = ev.Attrs
+					}
+				}
+				if attrs == nil {
+					t.Fatalf("root span lacks the %s event (events: %+v)", tc.event, root.Events)
+				}
+			}
+			for _, k := range tc.attrs {
+				if _, ok := attrs[k]; !ok {
+					t.Fatalf("%s%s lacks the %s attribute: %v", tc.span, tc.event, k, attrs)
+				}
+			}
+			if attrs["generation"] != int64(2) {
+				t.Fatalf("%s%s generation = %#v, want the routed count 2", tc.span, tc.event, attrs["generation"])
+			}
+		})
 	}
 }
